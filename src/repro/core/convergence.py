@@ -135,3 +135,8 @@ class ActiveSet:
 
     def all_converged(self) -> bool:
         return self.enabled and not self._active.any()
+
+    def done(self, hooks: int, nonstar: np.ndarray) -> bool:
+        """Algorithm 1's termination test after an iteration: every vertex
+        retired, or no hook fired and every tree is a star."""
+        return self.all_converged() or (hooks == 0 and not nonstar.any())

@@ -30,13 +30,18 @@ import numpy as np
 
 from repro.graphblas import Matrix, Vector
 from repro.obs.flight import flight_recorder as _freg
-from repro.obs.metrics import metrics_registry as _mreg
 from repro.obs.tracer import NULL_TRACER, Tracer, activate
 
 from .convergence import ActiveSet
 from .hooking import cond_hook, uncond_hook
 from .shortcut import shortcut
-from .snapshot import IterationHook, IterationSnapshot, validate_initial_parents
+from .skeleton import IterationBody, LACCOutput, iterate
+from .snapshot import (
+    IterationHook,
+    IterationSnapshot,
+    validate_initial_active,
+    validate_initial_parents,
+)
 from .starcheck import starcheck
 from .stats import IterationStats, LACCStats, steps_from_span
 
@@ -44,7 +49,7 @@ __all__ = ["lacc", "LACCResult"]
 
 
 @dataclass
-class LACCResult:
+class LACCResult(LACCOutput):
     """Output of a LACC run.
 
     ``parents[i]`` is the root of *i*'s final star — a canonical
@@ -53,18 +58,7 @@ class LACCResult:
     regardless of id order.  Use :attr:`labels` for min-id labels.
     """
 
-    parents: np.ndarray  # parents[i] = root vertex of i's component
-    n_components: int
-    n_iterations: int
     stats: LACCStats
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Labels renamed so each component is labelled by its smallest
-        member vertex (stable across algorithms, handy for comparisons)."""
-        from repro.graphs.validate import canonical_labels
-
-        return canonical_labels(self.parents)
 
     def component_of(self, v: int) -> int:
         return int(self.parents[v])
@@ -130,8 +124,6 @@ def lacc(
         raise ValueError("LACC requires an undirected (symmetric) adjacency matrix")
     n = A.nrows
     stats = LACCStats(n_vertices=n)
-    if max_iterations is None:
-        max_iterations = 4 * max(int(np.ceil(np.log2(max(n, 2)))), 1) + 8
 
     # initialise: every vertex is its own parent — n single-vertex stars —
     # unless resuming from a checkpointed/repaired forest
@@ -140,125 +132,82 @@ def lacc(
     else:
         f = Vector.iota(n)
     active = ActiveSet(n, enabled=use_sparsity)
-    if initial_active is not None and use_sparsity:
-        act0 = np.asarray(initial_active, dtype=bool)
-        if act0.shape != (n,):
-            raise ValueError(f"initial_active must have shape ({n},)")
-        active._active = act0.copy()
+    if active.enabled:
+        if initial_active is not None:
+            active.retire(~validate_initial_active(initial_active, n))
+        # isolated vertices are converged components from the start
+        active.retire(A.row_degrees() == 0)
 
-    if n == 0 or A.nvals == 0:
-        labels0 = f.to_numpy()
-        ncomp0 = int(np.unique(labels0).size) if n else 0
-        return LACCResult(labels0, ncomp0, start_iteration, stats)
+    star = nonstar = None
 
-    # isolated vertices are converged components from the start
-    if use_sparsity:
-        deg = A.row_degrees()
-        isolated = deg == 0
-        if isolated.any():
-            active._active &= ~isolated
+    def refresh() -> None:
+        nonlocal star
+        star = starcheck(f, active.mask)
+
+    def do_cond_hook(it: IterationStats) -> None:
+        it.cond_hooks = cond_hook(A, f, star, active.mask).count
+
+    def do_uncond_hook(it: IterationStats) -> None:
+        it.uncond_hooks = uncond_hook(A, f, star, active.mask).count
+
+    def do_starcheck_retire(it: IterationStats) -> None:
+        refresh()
+        # Lemma 1 (strengthened, see convergence module): stars surviving
+        # unconditional hooking with no external edges are converged
+        active.retire_converged_stars(A, f, star)
+        it.converged_vertices = active.converged_count
+
+    def do_shortcut(it: IterationStats) -> None:
+        nonlocal nonstar
+        sv, sp_ = star.dense_arrays()
+        it.star_vertices = int(np.count_nonzero(sv & sp_))
+        nonstar = sp_ & ~sv
+        shortcut(f, nonstar if active.mask is None else nonstar & active.mask)
+
+    def record(it: IterationStats, it_span) -> dict:
+        if it_span:
+            it.step_seconds = steps_from_span(it_span)
+        if collect_stats:
+            stats.iterations.append(it)
+        return it.progress()
+
+    def snapshot(iteration: int) -> IterationSnapshot:
+        sv, sp_ = star.dense_arrays()
+        mask = active.mask
+        return IterationSnapshot(
+            iteration=iteration,
+            parents=f.to_numpy(),
+            star=sv & sp_,
+            active=None if mask is None else mask.copy(),
+        )
+
+    body = IterationBody(
+        driver="serial",
+        begin=lambda i: IterationStats(iteration=i, active_vertices=active.active_count),
+        steps=(
+            ("cond_hook", do_cond_hook),
+            ("starcheck", lambda it: refresh()),
+            ("uncond_hook", do_uncond_hook),
+            ("starcheck", do_starcheck_retire),
+            ("shortcut", do_shortcut),
+        ),
+        record=record,
+        converged=lambda it: active.done(it.cond_hooks + it.uncond_hooks, nonstar),
+        snapshot=snapshot,
+        parents=f.to_numpy,
+        refresh=refresh,
+        run_start={"n": n, "nnz": A.nvals},
+    )
 
     # Tracing: an explicit tracer is activated so GraphBLAS primitives
     # record leaf spans; the default private tracer stays inactive and
     # only carries the iteration/step spans LACCStats is derived from.
     tr = tracer if tracer is not None else (Tracer() if collect_stats else NULL_TRACER)
     run_ctx = activate(tr) if tracer is not None else contextlib.nullcontext()
-
     fr = _freg()
-    if fr:
-        fr.record("run_start", driver="serial", n=n, nnz=A.nvals)
-    iteration = start_iteration
     with run_ctx, tr.span("lacc", "run", n=n, nnz=A.nvals,
                           **({"run_id": fr.run_id} if fr else {})):
-        star = starcheck(f, active.mask)
-        while True:
-            iteration += 1
-            if iteration - start_iteration > max_iterations:
-                raise RuntimeError(
-                    f"LACC did not converge within {max_iterations} iterations — "
-                    "this indicates a forest-invariant violation"
-                )
-            it_stats = IterationStats(
-                iteration=iteration, active_vertices=active.active_count
-            )
-
-            with tr.span("iteration", "iteration", iteration=iteration) as it_span:
-                with tr.span("cond_hook", "step"):
-                    it_stats.cond_hooks = cond_hook(A, f, star, active.mask).count
-                with tr.span("starcheck", "step"):
-                    star = starcheck(f, active.mask)
-                with tr.span("uncond_hook", "step"):
-                    it_stats.uncond_hooks = uncond_hook(A, f, star, active.mask).count
-                with tr.span("starcheck", "step"):
-                    star = starcheck(f, active.mask)
-
-                # Lemma 1 (strengthened, see convergence module): stars
-                # surviving unconditional hooking with no external edges
-                # are converged
-                active.retire_converged_stars(A, f, star)
-                it_stats.converged_vertices = active.converged_count
-                sv, sp_ = star.dense_arrays()
-                it_stats.star_vertices = int(np.count_nonzero(sv & sp_))
-
-                with tr.span("shortcut", "step"):
-                    nonstar = sp_ & ~sv
-                    scope = nonstar if not use_sparsity else (nonstar & active._active)
-                    shortcut(f, scope if use_sparsity else nonstar)
-
-                if it_span:
-                    it_span.set("active_vertices", it_stats.active_vertices)
-                    it_span.set("converged_vertices", it_stats.converged_vertices)
-                    it_span.set("cond_hooks", it_stats.cond_hooks)
-                    it_span.set("uncond_hooks", it_stats.uncond_hooks)
-
-            if it_span:
-                it_stats.step_seconds = steps_from_span(it_span)
-            if collect_stats:
-                stats.iterations.append(it_stats)
-            if fr:
-                fr.set_coords(iteration=iteration)
-                fr.record(
-                    "iteration",
-                    iteration=iteration,
-                    active_vertices=it_stats.active_vertices,
-                    cond_hooks=it_stats.cond_hooks,
-                    uncond_hooks=it_stats.uncond_hooks,
-                    converged_vertices=it_stats.converged_vertices,
-                )
-            reg = _mreg()
-            if reg:
-                reg.counter("lacc_iterations_total",
-                            "LACC iterations executed", driver="serial").inc()
-                reg.counter("lacc_hooks_total", "trees hooked",
-                            driver="serial", kind="cond").inc(it_stats.cond_hooks)
-                reg.counter("lacc_hooks_total", "trees hooked",
-                            driver="serial", kind="uncond").inc(it_stats.uncond_hooks)
-                reg.gauge("lacc_active_vertices",
-                          "active vertices entering the latest iteration",
-                          driver="serial").set(it_stats.active_vertices)
-
-            hooked = it_stats.cond_hooks + it_stats.uncond_hooks
-            all_stars = not (sp_ & ~sv).any()
-            if active.all_converged() or (hooked == 0 and all_stars):
-                break
-            # after shortcutting, star memberships may have changed
-            star = starcheck(f, active.mask)
-
-            if on_iteration is not None:
-                sv2, sp2 = star.dense_arrays()
-                on_iteration(
-                    IterationSnapshot(
-                        iteration=iteration,
-                        parents=f.to_numpy(),
-                        star=sv2 & sp2,
-                        active=(
-                            active._active.copy() if use_sparsity else None
-                        ),
-                    )
-                )
-
-    labels = f.to_numpy()
-    n_components = int(np.unique(labels).size)
-    if fr:
-        fr.record("run_end", n_iterations=iteration, n_components=n_components)
-    return LACCResult(labels, n_components, iteration, stats)
+        n_iterations, labels, n_components = iterate(
+            body, n, A.nvals > 0, max_iterations, start_iteration, on_iteration, tr
+        )
+    return LACCResult(labels, n_components, n_iterations, stats)

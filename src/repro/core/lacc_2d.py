@@ -11,6 +11,11 @@ Third execution model, completing the fidelity ladder:
    block multiply → row routing), vectors block-distributed with
    request/reply indexing for starcheck and shortcut.
 
+Everything but the hooking — the distributed vectors, starcheck,
+shortcut, the convergence allreduce, snapshots — is
+:func:`~repro.core.lacc_spmd.lacc_spmd`'s ``_SPMDState``, and the loop is
+the shared :func:`repro.core.skeleton.iterate`.
+
 Per-rank state only ever moves through :class:`repro.mpisim.SimComm`
 collectives; the tests pin the output to serial LACC and ground truth on
 every grid size.
@@ -28,40 +33,29 @@ from repro.combblas.spmv import dist_mxv
 from repro.graphblas import Vector
 from repro.graphblas import semirings as sr
 from repro.graphs.generators import EdgeList
-from repro.mpisim.backend import make_comm
-from repro.mpisim.comm import SimComm
 from repro.mpisim.grid import ProcessGrid
-from repro.obs.flight import flight_recorder as _freg
 from repro.obs.tracer import current as _obs
 
-from .lacc_spmd import _Dist
-from .snapshot import IterationHook, IterationSnapshot, validate_initial_parents
+from .lacc_spmd import _SPMDState
+from .skeleton import LACCOutput, iterate, plan_fields
+from .snapshot import IterationHook
 
 __all__ = ["lacc_2d", "Grid2DResult"]
 
 
 @dataclass
-class Grid2DResult:
+class Grid2DResult(LACCOutput):
     """Output of a 2D literal LACC run."""
 
-    parents: np.ndarray
-    n_components: int
-    n_iterations: int
     nprocs: int
     grid_side: int
     words_sent: int  # indexing traffic (the mxv moves data internally)
-
-    @property
-    def labels(self) -> np.ndarray:
-        from repro.graphs.validate import canonical_labels
-
-        return canonical_labels(self.parents)
 
 
 def lacc_2d(
     g: EdgeList,
     nprocs: int = 4,
-    max_iterations: int = 10_000,
+    max_iterations: Optional[int] = None,
     faults=None,
     cost=None,
     initial_parents: Optional[np.ndarray] = None,
@@ -79,37 +73,16 @@ def lacc_2d(
     ``initial_parents`` / ``start_iteration`` / ``on_iteration`` are the
     checkpoint-resume hooks of :mod:`repro.core.snapshot`; each iteration
     runs inside an ``iteration`` span so raised
-    :class:`~repro.faults.CollectiveError`\\ s carry the iteration number.
+    :class:`~repro.faults.CollectiveError`\\ s carry the iteration number,
+    and each step inside a ``cat="step"`` span that names the step its
+    collectives serve.  ``max_iterations`` defaults to ``4·⌈log2 n⌉ + 8``.
     """
     n = g.n
     grid = ProcessGrid(nprocs, n)  # validates squareness
-    comm = make_comm(nprocs, faults=faults, cost=cost)
+    st = _SPMDState(n, nprocs, initial_parents, faults, cost)
+    f, star = st.f, st.star
     A = g.to_matrix()
     dmat = DistMatrix(A, grid, permute=False)
-
-    if initial_parents is not None:
-        f0 = validate_initial_parents(initial_parents, n)
-    else:
-        f0 = np.arange(n, dtype=np.int64)
-    f = _Dist(comm, n, f0)
-    star = _Dist(comm, n, np.ones(n, dtype=np.int64))
-
-    def starcheck() -> None:
-        for r in range(nprocs):
-            star.blocks[r][:] = 1
-        parents = [f.blocks[r] for r in range(nprocs)]
-        gf = f.gather(parents)
-        bad_self, bad_gp = [], []
-        for r in range(nprocs):
-            base = f.lo(r)
-            neq = np.flatnonzero(parents[r] != gf[r])
-            bad_self.append(neq + base)
-            bad_gp.append(gf[r][neq])
-        star.scatter_store(bad_self, [np.zeros(b.size, np.int64) for b in bad_self])
-        star.scatter_store(bad_gp, [np.zeros(b.size, np.int64) for b in bad_gp])
-        pstar = star.gather(parents)
-        for r in range(nprocs):
-            star.blocks[r] &= pstar[r]
 
     def global_vector(restrict_to_nonstars: bool) -> Vector:
         """Assemble the mxv input from per-rank blocks (each rank
@@ -145,89 +118,22 @@ def lacc_2d(
                 fire = pres & is_star & (prop < f.blocks[r])
             else:
                 fire = pres & is_star & (prop != f.blocks[r])
-            roots = f.blocks[r][fire]
-            proposal = prop[fire]
-            if roots.size:
-                order = np.lexsort((proposal, roots))
-                roots, proposal = roots[order], proposal[order]
-                first = np.r_[True, roots[1:] != roots[:-1]]
-                roots, proposal = roots[first], proposal[first]
-            targets.append(roots)
-            values.append(proposal)
+            targets.append(f.blocks[r][fire])
+            values.append(prop[fire])
         return f.scatter_min(targets, values)
 
-    def shortcut() -> int:
-        parents = [f.blocks[r] for r in range(nprocs)]
-        gf = f.gather(parents)
-        changed = 0
-        for r in range(nprocs):
-            changed += int(np.count_nonzero(gf[r] != parents[r]))
-            f.blocks[r][:] = gf[r]
-        return changed
-
-    def snapshot(iteration: int) -> IterationSnapshot:
-        return IterationSnapshot(
-            iteration=iteration,
-            parents=f.to_array(),
-            star=star.to_array() == 1,
-            active=None,
-            simulated_seconds=(
-                cost.total_seconds if cost is not None else comm.fault_seconds
-            ),
-            plan_cursor=0 if faults is None else faults.cursor,
-        )
-
-    fr = _freg()
-    if fr:
-        fr.record(
-            "run_start", driver="2d", n=n, nnz=A.nvals,
-            ranks=nprocs, grid_side=grid.side,
-            preset=faults.name if faults is not None else None,
-            seed=faults.seed if faults is not None else None,
-            partition_lambda=dmat.load_imbalance(),
-        )
-    iterations = start_iteration
-    if n and A.nvals:
-        for k in range(1, max_iterations + 1):
-            iterations = start_iteration + k
-            if fr:
-                fr.set_coords(iteration=iterations)
-            with _obs().span("iteration", "iteration", iteration=iterations):
-                starcheck()
-                hooks = hook(conditional=True)
-                starcheck()
-                hooks += hook(conditional=False)
-                starcheck()
-                changed = shortcut()
-                nonstars = comm.allreduce(
-                    [
-                        np.array([int((star.blocks[r] == 0).sum())])
-                        for r in range(nprocs)
-                    ],
-                    np.add,
-                )[0][0]
-            if fr:
-                fr.record("iteration", iteration=iterations, hooks=hooks,
-                          shortcut_changed=changed, nonstars=int(nonstars))
-            if hooks == 0 and changed == 0 and nonstars == 0:
-                break
-            if on_iteration is not None:
-                on_iteration(snapshot(iterations))
-        else:
-            raise RuntimeError("2D LACC failed to converge (bug)")
-
-    parents = f.to_array()
-    if fr:
-        fr.record(
-            "run_end",
-            n_iterations=iterations,
-            n_components=int(np.unique(parents).size) if n else 0,
-        )
+    body = st.body("2d", hook, dict(
+        n=n, nnz=A.nvals, ranks=nprocs, grid_side=grid.side,
+        **plan_fields(faults), partition_lambda=dmat.load_imbalance(),
+    ))
+    n_iterations, parents, n_components = iterate(
+        body, n, A.nvals > 0, max_iterations, start_iteration, on_iteration, _obs()
+    )
     return Grid2DResult(
         parents=parents,
-        n_components=int(np.unique(parents).size) if n else 0,
-        n_iterations=iterations,
+        n_components=n_components,
+        n_iterations=n_iterations,
         nprocs=nprocs,
         grid_side=grid.side,
-        words_sent=f.words + star.words,
+        words_sent=st.words,
     )

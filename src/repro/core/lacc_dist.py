@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import contextlib
 import math
-import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,46 +36,29 @@ from repro.mpisim.costmodel import CostModel
 from repro.mpisim.grid import ProcessGrid
 from repro.mpisim.machine import MachineModel
 from repro.obs.flight import flight_recorder as _freg
-from repro.obs.metrics import metrics_registry as _mreg
 from repro.obs.tracer import NULL_TRACER, Tracer, activate
 
 from .convergence import ActiveSet, converged_star_vertices
 from .hooking import HookReport, cond_hook, uncond_hook
 from .shortcut import shortcut
-from .snapshot import IterationHook, IterationSnapshot, validate_initial_parents
+from .skeleton import IterationBody, LACCOutput, iterate, plan_fields
+from .snapshot import (
+    IterationHook,
+    IterationSnapshot,
+    validate_initial_active,
+    validate_initial_parents,
+)
 from .starcheck import starcheck
 from .stats import IterationStats, LACCStats
 
 __all__ = ["lacc_dist", "DistLACCResult", "grid_for"]
 
 
-class _StepSpan:
-    """Step-span context that records host time as a ``wall_seconds``
-    counter next to the simulated-clock span extent (model vs. actual
-    side by side)."""
-
-    __slots__ = ("_ctx", "_span", "_t0")
-
-    def __init__(self, tracer, name: str):
-        self._ctx = tracer.span(name, "step")
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        self._span = self._ctx.__enter__()
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb):
-        self._span.add("wall_seconds", time.perf_counter() - self._t0)
-        return self._ctx.__exit__(exc_type, exc, tb)
-
-
 @dataclass
-class DistLACCResult:
-    """Output of a simulated distributed LACC run."""
+class DistLACCResult(LACCOutput):
+    """Output of a simulated distributed LACC run (``parents`` in ORIGINAL
+    vertex space)."""
 
-    parents: np.ndarray  # component labels in ORIGINAL vertex space
-    n_components: int
-    n_iterations: int
     stats: LACCStats
     cost: CostModel
     machine: MachineModel
@@ -89,12 +71,6 @@ class DistLACCResult:
     @property
     def simulated_seconds(self) -> float:
         return self.cost.total_seconds
-
-    @property
-    def labels(self) -> np.ndarray:
-        from repro.graphs.validate import canonical_labels
-
-        return canonical_labels(self.parents)
 
 
 def grid_for(machine: MachineModel, nodes: int) -> Tuple[int, int]:
@@ -181,20 +157,6 @@ def lacc_dist(
     fr = _freg()
     if fr:
         fr.bind_clock(lambda: cost.total_seconds)
-        fr.record(
-            "run_start",
-            driver="dist",
-            graph=run_name,
-            n=n,
-            nnz=A.nvals,
-            machine=machine.name,
-            nodes=nodes,
-            ranks=nprocs,
-            preset=faults.name if faults is not None else None,
-            seed=faults.seed if faults is not None else None,
-            partition_lambda=dmat.load_imbalance(),
-            partition_worst_rank=int(np.argmax(dmat.edges_per_rank)),
-        )
     stats = LACCStats(n_vertices=n)
     tr = tracer if tracer is not None else NULL_TRACER
     if tracer is not None and not tracer.roots and tracer.current is None:
@@ -205,8 +167,6 @@ def lacc_dist(
     route_kw = dict(
         use_broadcast_offload=use_broadcast_offload, use_hypercube=use_hypercube
     )
-    if max_iterations is None:
-        max_iterations = 4 * max(int(np.ceil(np.log2(max(n, 2)))), 1) + 8
 
     Ap = dmat.A  # permuted adjacency
     if initial_parents is not None:
@@ -216,35 +176,11 @@ def lacc_dist(
     else:
         f = Vector.iota(n)
     active = ActiveSet(n, enabled=use_sparsity)
-    if initial_active is not None and use_sparsity:
-        act0 = np.asarray(initial_active, dtype=bool)
-        if act0.shape != (n,):
-            raise ValueError(f"initial_active must have shape ({n},)")
-        active._active = dmat.to_permuted_bitmap(act0)
-    if n == 0 or Ap.nvals == 0:
-        labels0 = dmat.to_original_labels(f.to_numpy())
-        ncomp0 = int(np.unique(labels0).size) if n else 0
-        if fr:
-            fr.record("run_end", n_iterations=start_iteration,
-                      n_components=ncomp0)
-        return DistLACCResult(
-            labels0, ncomp0, start_iteration, stats, cost,
-            machine, nodes, nprocs, routing,
-        )
-    if use_sparsity:
-        active._active &= ~(Ap.row_degrees() == 0)
-
-    def snapshot() -> dict:
-        return {k: v.seconds for k, v in cost.phases.items()}
-
-    def add_step_delta(stats_dict: dict, before: dict) -> None:
-        for k, v in cost.phases.items():
-            d = v.seconds - before.get(k, 0.0)
-            if d > 0:
-                stats_dict[k] = stats_dict.get(k, 0.0) + d
-
-    def active_bitmap() -> Optional[np.ndarray]:
-        return active.mask
+    if active.enabled:
+        if initial_active is not None:
+            act0 = validate_initial_active(initial_active, n)
+            active.retire(~dmat.to_permuted_bitmap(act0))
+        active.retire(Ap.row_degrees() == 0)
 
     def record_routed(it: int, phase: str, rep: RoutingReport) -> None:
         """Keep the routing report and, when a flight recorder is on,
@@ -276,7 +212,7 @@ def lacc_dist(
     def charge_starcheck(phase: str, it: int):
         """Price one starcheck: grandparent extract (the Figure 3 hot
         spot), nonstar marking, level-2 fixup."""
-        mask = active_bitmap()
+        mask = active.mask
         idx = np.arange(n) if mask is None else np.flatnonzero(mask)
         if idx.size == 0:
             return
@@ -287,154 +223,133 @@ def lacc_dist(
         charge_assign(grid, cost, fv[idx], idx, phase, **route_kw)
         cost.charge_compute(2 * idx.size / max(nprocs, 1), phase)
 
-    def step_span(name: str):
-        """Open a step span that also measures host ('wall') seconds."""
-        return _StepSpan(tr, name)
+    star = nonstar = None
+    phases0: Dict[str, float] = {}
+    totals0 = (0.0, 0.0, 0.0)
 
-    iteration = start_iteration
+    def refresh() -> None:
+        nonlocal star
+        star = starcheck(f, active.mask)
+
+    def begin(iteration: int) -> IterationStats:
+        nonlocal phases0, totals0
+        phases0 = {k: v.seconds for k, v in cost.phases.items()}
+        totals0 = cost.totals()
+        return IterationStats(iteration=iteration, active_vertices=active.active_count)
+
+    def do_cond_hook(it: IterationStats) -> None:
+        rep = cond_hook(Ap, f, star, active.mask)
+        it.cond_hooks = rep.count
+        charge_hook(rep, active.mask, "cond_hook", it.iteration)
+
+    def do_starcheck(it: IterationStats) -> None:
+        refresh()
+        charge_starcheck("starcheck", it.iteration)
+
+    def do_uncond_hook(it: IterationStats) -> None:
+        in_cols = None
+        if active.mask is not None:
+            sv, sp_ = star.dense_arrays()
+            in_cols = sp_ & ~sv & active.mask
+        rep = uncond_hook(Ap, f, star, active.mask)
+        it.uncond_hooks = rep.count
+        charge_hook(rep, in_cols, "uncond_hook", it.iteration)
+
+    def do_starcheck_retire(it: IterationStats) -> None:
+        do_starcheck(it)
+        # convergence detection (strengthened Lemma 1): min and max
+        # neighbouring parent fuse into one semiring pass, so charge
+        # one mxv
+        if active.enabled:
+            conv = converged_star_vertices(Ap, f, star, active.mask)
+            dmat.charge_mxv(cost, active.mask, "starcheck")
+            active.retire(conv)
+        it.converged_vertices = active.converged_count
+
+    def do_shortcut(it: IterationStats) -> None:
+        nonlocal nonstar
+        sv, sp_ = star.dense_arrays()
+        it.star_vertices = int(np.count_nonzero(sv & sp_))
+        nonstar = sp_ & ~sv
+        scope = nonstar if active.mask is None else nonstar & active.mask
+        scope_idx = np.flatnonzero(scope)
+        if scope_idx.size:
+            fv = f.to_numpy()
+            rep2 = charge_extract(
+                grid, cost, fv[scope_idx], scope_idx, "shortcut", **route_kw
+            )
+            record_routed(it.iteration, "shortcut", rep2)
+            cost.charge_compute(scope_idx.size / max(nprocs, 1), "shortcut")
+        shortcut(f, scope)
+
+    def record(it: IterationStats, _span) -> dict:
+        # per-step model time and per-iteration communication attribution
+        # (Figure 8's step bars and comm columns)
+        for k, v in cost.phases.items():
+            d = v.seconds - phases0.get(k, 0.0)
+            if d > 0:
+                it.step_model_seconds[k] = d
+        _, words1, msgs1 = cost.totals()
+        it.words_communicated = int(round(words1 - totals0[1]))
+        it.messages_sent = int(round(msgs1 - totals0[2]))
+        stats.iterations.append(it)
+        return dict(it.progress(), words=it.words_communicated,
+                    messages=it.messages_sent)
+
+    def snapshot(iteration: int) -> IterationSnapshot:
+        # snapshot in ORIGINAL vertex space — interchangeable with the
+        # serial driver's, which the degraded replay path relies on
+        sv, sp_ = star.dense_arrays()
+        mask = active.mask
+        plan = getattr(cost, "faults", None)
+        return IterationSnapshot(
+            iteration=iteration,
+            parents=dmat.to_original_labels(f.to_numpy()),
+            star=(sv & sp_)[dmat.perm],
+            active=None if mask is None else mask[dmat.perm],
+            simulated_seconds=cost.total_seconds,
+            plan_cursor=0 if plan is None else plan.cursor,
+        )
+
+    body = IterationBody(
+        driver="dist",
+        begin=begin,
+        steps=(
+            ("cond_hook", do_cond_hook),
+            ("starcheck", do_starcheck),
+            ("uncond_hook", do_uncond_hook),
+            ("starcheck", do_starcheck_retire),
+            ("shortcut", do_shortcut),
+        ),
+        record=record,
+        converged=lambda it: active.done(it.cond_hooks + it.uncond_hooks, nonstar),
+        snapshot=snapshot,
+        parents=lambda: dmat.to_original_labels(f.to_numpy()),
+        refresh=refresh,
+        run_start=dict(
+            graph=run_name,
+            n=n,
+            nnz=A.nvals,
+            machine=machine.name,
+            nodes=nodes,
+            ranks=nprocs,
+            **plan_fields(faults),
+            partition_lambda=dmat.load_imbalance(),
+            partition_worst_rank=int(np.argmax(dmat.edges_per_rank)),
+        ),
+        run_end=lambda: {"simulated_seconds": cost.total_seconds},
+    )
+
     with run_ctx, tr.span("lacc_dist", "run", n=n, nnz=Ap.nvals,
                           machine=machine.name, nodes=nodes, ranks=nprocs,
                           **({"run_id": fr.run_id} if fr else {})):
-      star = starcheck(f, active.mask)
-      while True:
-        iteration += 1
-        if iteration - start_iteration > max_iterations:
-            raise RuntimeError("distributed LACC failed to converge (bug)")
-        if fr:
-            # faults/retries recorded deep inside the collectives inherit
-            # this coordinate without threading it through call signatures
-            fr.set_coords(iteration=iteration)
-        it_stats = IterationStats(iteration=iteration, active_vertices=active.active_count)
-        _, words0, msgs0 = cost.totals()
-
-        with tr.span("iteration", "iteration", iteration=iteration) as it_span:
-            before = snapshot()
-            with step_span("cond_hook"):
-                rep = cond_hook(Ap, f, star, active.mask)
-                it_stats.cond_hooks = rep.count
-                charge_hook(rep, active_bitmap(), "cond_hook", iteration)
-            add_step_delta(it_stats.step_model_seconds, before)
-
-            before = snapshot()
-            with step_span("starcheck"):
-                star = starcheck(f, active.mask)
-                charge_starcheck("starcheck", iteration)
-
-            sv, sp_ = star.dense_arrays()
-            nonstar_active = sp_ & ~sv
-            if active.mask is not None:
-                nonstar_active = nonstar_active & active.mask
-            add_step_delta(it_stats.step_model_seconds, before)
-
-            before = snapshot()
-            with step_span("uncond_hook"):
-                rep = uncond_hook(Ap, f, star, active.mask)
-                it_stats.uncond_hooks = rep.count
-                in_cols = nonstar_active if active.mask is not None else None
-                charge_hook(rep, in_cols, "uncond_hook", iteration)
-            add_step_delta(it_stats.step_model_seconds, before)
-
-            before = snapshot()
-            with step_span("starcheck"):
-                star = starcheck(f, active.mask)
-                charge_starcheck("starcheck", iteration)
-                # convergence detection (strengthened Lemma 1): min and max
-                # neighbouring parent fuse into one semiring pass, so charge
-                # one mxv
-                if use_sparsity:
-                    conv = converged_star_vertices(Ap, f, star, active.mask)
-                    dmat.charge_mxv(cost, active_bitmap(), "starcheck")
-                    active.retire(conv)
-            it_stats.converged_vertices = active.converged_count
-            sv, sp_ = star.dense_arrays()
-            it_stats.star_vertices = int(np.count_nonzero(sv & sp_))
-            add_step_delta(it_stats.step_model_seconds, before)
-
-            before = snapshot()
-            with step_span("shortcut"):
-                nonstar = sp_ & ~sv
-                scope = nonstar & active._active if use_sparsity else nonstar
-                scope_idx = np.flatnonzero(scope)
-                if scope_idx.size:
-                    fv = f.to_numpy()
-                    rep2 = charge_extract(
-                        grid, cost, fv[scope_idx], scope_idx, "shortcut", **route_kw
-                    )
-                    record_routed(iteration, "shortcut", rep2)
-                    cost.charge_compute(scope_idx.size / max(nprocs, 1), "shortcut")
-                shortcut(f, scope)
-            add_step_delta(it_stats.step_model_seconds, before)
-
-            if it_span:
-                it_span.set("active_vertices", it_stats.active_vertices)
-                it_span.set("converged_vertices", it_stats.converged_vertices)
-                it_span.set("cond_hooks", it_stats.cond_hooks)
-                it_span.set("uncond_hooks", it_stats.uncond_hooks)
-
-        # per-iteration communication attribution (Figure 8's comm columns)
-        _, words1, msgs1 = cost.totals()
-        it_stats.words_communicated = int(round(words1 - words0))
-        it_stats.messages_sent = int(round(msgs1 - msgs0))
-        stats.iterations.append(it_stats)
-        if fr:
-            fr.record(
-                "iteration",
-                iteration=iteration,
-                active_vertices=it_stats.active_vertices,
-                cond_hooks=it_stats.cond_hooks,
-                uncond_hooks=it_stats.uncond_hooks,
-                converged_vertices=it_stats.converged_vertices,
-                words=it_stats.words_communicated,
-                messages=it_stats.messages_sent,
-            )
-        reg = _mreg()
-        if reg:
-            reg.counter("lacc_iterations_total",
-                        "LACC iterations executed", driver="dist").inc()
-            reg.counter("lacc_hooks_total", "trees hooked",
-                        driver="dist", kind="cond").inc(it_stats.cond_hooks)
-            reg.counter("lacc_hooks_total", "trees hooked",
-                        driver="dist", kind="uncond").inc(it_stats.uncond_hooks)
-            reg.gauge("lacc_active_vertices",
-                      "active vertices entering the latest iteration",
-                      driver="dist").set(it_stats.active_vertices)
-
-        hooked = it_stats.cond_hooks + it_stats.uncond_hooks
-        all_stars = not nonstar.any()
-        if active.all_converged() or (hooked == 0 and all_stars):
-            break
-        star = starcheck(f, active.mask)
-
-        if on_iteration is not None:
-            # snapshot in ORIGINAL vertex space — interchangeable with the
-            # serial driver's, which the degraded replay path relies on
-            sv2, sp2 = star.dense_arrays()
-            plan = getattr(cost, "faults", None)
-            on_iteration(
-                IterationSnapshot(
-                    iteration=iteration,
-                    parents=dmat.to_original_labels(f.to_numpy()),
-                    star=(sv2 & sp2)[dmat.perm],
-                    active=(
-                        active._active[dmat.perm] if use_sparsity else None
-                    ),
-                    simulated_seconds=cost.total_seconds,
-                    plan_cursor=0 if plan is None else plan.cursor,
-                )
-            )
-
-    labels = dmat.to_original_labels(f.to_numpy())
-    if fr:
-        fr.record(
-            "run_end",
-            n_iterations=iteration,
-            n_components=int(np.unique(labels).size),
-            simulated_seconds=cost.total_seconds,
+        n_iterations, labels, n_components = iterate(
+            body, n, Ap.nvals > 0, max_iterations, start_iteration, on_iteration, tr
         )
     return DistLACCResult(
         labels,
-        int(np.unique(labels).size),
-        iteration,
+        n_components,
+        n_iterations,
         stats,
         cost,
         machine,

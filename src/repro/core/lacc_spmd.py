@@ -32,39 +32,43 @@ actually sends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graphs.generators import EdgeList
 from repro.mpisim.backend import make_comm
 from repro.mpisim.comm import SimComm
-from repro.obs.flight import flight_recorder as _freg
 from repro.obs.tracer import current as _obs
 
+from .skeleton import IterationBody, LACCOutput, iterate, plan_fields
 from .snapshot import IterationHook, IterationSnapshot, validate_initial_parents
+from .stats import IterationStats
 
 __all__ = ["lacc_spmd", "SPMDResult"]
 
 
 @dataclass
-class SPMDResult:
+class SPMDResult(LACCOutput):
     """Output of an SPMD LACC run."""
 
-    parents: np.ndarray
-    n_components: int
-    n_iterations: int
     ranks: int
     words_sent: int  # total payload words that crossed rank boundaries
     #: simulated seconds lost to injected faults (backoff/stragglers)
     #: when no cost model was attached to price them properly
     fault_seconds: float = 0.0
 
-    @property
-    def labels(self) -> np.ndarray:
-        from repro.graphs.validate import canonical_labels
 
-        return canonical_labels(self.parents)
+def _min_per_index(t, v) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs of ``(t, v)`` with the smallest ``v`` per index, sorted."""
+    t = np.asarray(t, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    if t.size:
+        order = np.lexsort((v, t))
+        t, v = t[order], v[order]
+        first = np.r_[True, t[1:] != t[:-1]]
+        t, v = t[first], v[first]
+    return t, v
 
 
 class _Dist:
@@ -89,20 +93,20 @@ class _Dist:
     def owner(self, idx: np.ndarray) -> np.ndarray:
         return np.minimum(idx // self.block, self.p - 1)
 
+    def split(self, idx: np.ndarray) -> List[np.ndarray]:
+        """Positions in *idx* of the indices each rank owns, by rank."""
+        owners = self.owner(idx) if idx.size else idx
+        return [np.flatnonzero(owners == o) for o in range(self.p)]
+
     def gather(self, requests: List[np.ndarray]) -> List[np.ndarray]:
         """``requests[r]`` = global indices rank *r* wants; returns the
         values, positionally aligned, via a two-phase alltoallv."""
         p = self.p
-        send_idx = [[None] * p for _ in range(p)]
-        send_back = [[None] * p for _ in range(p)]
-        for r in range(p):
-            req = np.asarray(requests[r], dtype=np.int64)
-            owners = self.owner(req) if req.size else req
-            for o in range(p):
-                sel = np.flatnonzero(owners == o)
-                send_idx[r][o] = req[sel]
-                send_back[r][o] = sel
-        recv_idx = self.comm.alltoallv(send_idx)  # recv_idx[o][r]
+        reqs = [np.asarray(q, dtype=np.int64) for q in requests]
+        send_back = [self.split(q) for q in reqs]
+        recv_idx = self.comm.alltoallv(  # recv_idx[o][r]
+            [[q[sel] for sel in back] for q, back in zip(reqs, send_back)]
+        )
         # owners answer with values
         send_val = [[None] * p for _ in range(p)]
         for o in range(p):
@@ -114,74 +118,192 @@ class _Dist:
         recv_val = self.comm.alltoallv(send_val)  # recv_val[r][o]
         out = []
         for r in range(p):
-            req = np.asarray(requests[r], dtype=np.int64)
-            vals = np.empty(req.size, dtype=np.int64)
-            for o in range(p):
-                sel = send_back[r][o]
+            vals = np.empty(reqs[r].size, dtype=np.int64)
+            for o, sel in enumerate(send_back[r]):
                 if len(sel):
                     vals[sel] = recv_val[r][o]
             out.append(vals)
         return out
 
-    def scatter_min(self, targets: List[np.ndarray], values: List[np.ndarray]) -> int:
-        """Route (index, value) pairs to owners; owners apply
-        ``block[i] = min(block[i], v)``.  Returns #elements changed."""
-        p = self.p
-        send_t = [[None] * p for _ in range(p)]
-        send_v = [[None] * p for _ in range(p)]
-        for r in range(p):
-            t = np.asarray(targets[r], dtype=np.int64)
-            v = np.asarray(values[r], dtype=np.int64)
-            owners = self.owner(t) if t.size else t
-            for o in range(p):
-                sel = owners == o
-                send_t[r][o] = t[sel]
-                send_v[r][o] = v[sel]
-                self.words += int(sel.sum()) * 2
+    def _deliver(
+        self, targets: List[np.ndarray], values: List[np.ndarray]
+    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Route (index, value) pairs to their owners with two alltoallvs
+        (indices, then values); returns ``(block, local index, value)``
+        per nonempty (owner, sender) pair."""
+        send_t, send_v = [], []
+        for t, v in zip(targets, values):
+            t = np.asarray(t, dtype=np.int64)
+            v = np.asarray(v, dtype=np.int64)
+            sels = self.split(t)
+            send_t.append([t[sel] for sel in sels])
+            send_v.append([v[sel] for sel in sels])
+            self.words += 2 * t.size
         recv_t = self.comm.alltoallv(send_t)
         recv_v = self.comm.alltoallv(send_v)
+        return [
+            (self.blocks[o], recv_t[o][r] - self.lo(o), recv_v[o][r])
+            for o in range(self.p)
+            for r in range(self.p)
+            if recv_t[o][r].size
+        ]
+
+    def scatter_min(self, targets: List[np.ndarray], values: List[np.ndarray]) -> int:
+        """Route (index, value) pairs to owners; owners apply
+        ``block[i] = min(block[i], v)``.  Each rank first keeps only its
+        smallest value per index, so no index is sent twice.  Returns
+        #elements changed."""
+        combined = [_min_per_index(t, v) for t, v in zip(targets, values)]
         changed = 0
-        for o in range(p):
-            base = self.lo(o)
-            for r in range(p):
-                t, v = recv_t[o][r], recv_v[o][r]
-                if t.size:
-                    local = t - base
-                    before = self.blocks[o][local]
-                    np.minimum.at(self.blocks[o], local, v)
-                    changed += int(np.count_nonzero(self.blocks[o][local] != before))
+        for block, local, v in self._deliver(
+            [t for t, _ in combined], [v for _, v in combined]
+        ):
+            before = block[local]
+            np.minimum.at(block, local, v)
+            changed += int(np.count_nonzero(block[local] != before))
         return changed
 
     def scatter_store(self, targets: List[np.ndarray], values: List[np.ndarray]) -> None:
         """Route (index, value) pairs to owners; owners overwrite."""
-        p = self.p
-        send_t = [[None] * p for _ in range(p)]
-        send_v = [[None] * p for _ in range(p)]
-        for r in range(p):
-            t = np.asarray(targets[r], dtype=np.int64)
-            v = np.asarray(values[r], dtype=np.int64)
-            owners = self.owner(t) if t.size else t
-            for o in range(p):
-                sel = owners == o
-                send_t[r][o] = t[sel]
-                send_v[r][o] = v[sel]
-                self.words += int(sel.sum()) * 2
-        recv_t = self.comm.alltoallv(send_t)
-        recv_v = self.comm.alltoallv(send_v)
-        for o in range(p):
-            base = self.lo(o)
-            for r in range(p):
-                if recv_t[o][r].size:
-                    self.blocks[o][recv_t[o][r] - base] = recv_v[o][r]
+        for block, local, v in self._deliver(targets, values):
+            block[local] = v
 
     def to_array(self) -> np.ndarray:
         return np.concatenate(self.blocks) if self.blocks else np.empty(0, np.int64)
 
 
+class _SPMDState:
+    """Parent and star vectors of one literal run, block-distributed over
+    a communicator from :func:`make_comm`, with every step that needs
+    nothing else: starcheck, shortcut, the nonstar allreduce and the
+    snapshot.  A driver adds only its hooking — how a star finds the
+    parent it proposes to hook onto."""
+
+    def __init__(self, n: int, ranks: int, initial_parents=None, faults=None, cost=None):
+        if initial_parents is not None:
+            f0 = validate_initial_parents(initial_parents, n)
+        else:
+            f0 = np.arange(n, dtype=np.int64)
+        self.comm: SimComm = make_comm(ranks, faults=faults, cost=cost)
+        self.n = n
+        self.ranks = ranks
+        self.faults = faults
+        self.cost = cost
+        self.f = _Dist(self.comm, n, f0)
+        self.star = _Dist(self.comm, n, np.ones(n, dtype=np.int64))
+        self.changed = 0  # parents the latest shortcut moved
+        self.nonstars = 0  # nonstar vertices after the latest iteration
+
+    @property
+    def words(self) -> int:
+        return self.f.words + self.star.words
+
+    def starcheck(self, _it=None) -> None:
+        """Algorithm 6 with message passing."""
+        f, star = self.f, self.star
+        for r in range(self.ranks):
+            star.blocks[r][:] = 1
+        # gf via request of parents-of-parents
+        parents = [f.blocks[r] for r in range(self.ranks)]
+        gf = f.gather(parents)
+        # vertices with f != gf: mark self + grandparent nonstar
+        bad_self: List[np.ndarray] = []
+        bad_gp: List[np.ndarray] = []
+        for r in range(self.ranks):
+            base = f.lo(r)
+            neq = np.flatnonzero(parents[r] != gf[r])
+            bad_self.append(neq + base)
+            bad_gp.append(gf[r][neq])
+        zeros = [np.zeros(b.size, dtype=np.int64) for b in bad_self]
+        star.scatter_store(bad_self, zeros)
+        zeros = [np.zeros(b.size, dtype=np.int64) for b in bad_gp]
+        star.scatter_store(bad_gp, zeros)
+        # star[v] &= star[f[v]]
+        pstar = star.gather(parents)
+        for r in range(self.ranks):
+            star.blocks[r] &= pstar[r]
+
+    def shortcut(self, _it=None) -> None:
+        f = self.f
+        parents = [f.blocks[r] for r in range(self.ranks)]
+        gf = f.gather(parents)
+        changed = 0
+        for r in range(self.ranks):
+            changed += int(np.count_nonzero(gf[r] != parents[r]))
+            f.blocks[r][:] = gf[r]
+        self.changed = changed
+
+    def count_nonstars(self, _it=None) -> None:
+        """Allreduce the nonstar count the termination predicate reads."""
+        self.nonstars = int(self.comm.allreduce(
+            [
+                np.array([int((self.star.blocks[r] == 0).sum())])
+                for r in range(self.ranks)
+            ],
+            np.add,
+        )[0][0])
+
+    def snapshot(self, iteration: int) -> IterationSnapshot:
+        return IterationSnapshot(
+            iteration=iteration,
+            parents=self.f.to_array(),
+            star=self.star.to_array() == 1,
+            active=None,
+            simulated_seconds=(
+                self.cost.total_seconds if self.cost is not None
+                else self.comm.fault_seconds
+            ),
+            plan_cursor=0 if self.faults is None else self.faults.cursor,
+        )
+
+    def body(
+        self, driver: str, hook: Callable[[bool], int], run_start: Dict[str, Any]
+    ) -> IterationBody:
+        """The skeleton body of a run whose hooking phase is
+        ``hook(conditional) -> #roots whose parent changed``."""
+
+        def cond_hook(it: IterationStats) -> None:
+            it.cond_hooks = hook(True)
+
+        def uncond_hook(it: IterationStats) -> None:
+            it.uncond_hooks = hook(False)
+
+        def record(it: IterationStats, _span) -> Dict[str, Any]:
+            return dict(hooks=it.cond_hooks + it.uncond_hooks,
+                        shortcut_changed=self.changed, nonstars=self.nonstars)
+
+        def converged(it: IterationStats) -> bool:
+            hooks = it.cond_hooks + it.uncond_hooks
+            return hooks == 0 and self.changed == 0 and self.nonstars == 0
+
+        # step spans (cat "step") name the algorithm phase each collective
+        # serves; the proc backend stamps the enclosing step into
+        # worker-side spans/flight events for measured per-step attribution
+        return IterationBody(
+            driver=driver,
+            # no convergence tracking: every vertex stays in play
+            begin=lambda i: IterationStats(iteration=i, active_vertices=self.n),
+            steps=(
+                ("starcheck", self.starcheck),
+                ("cond_hook", cond_hook),
+                ("starcheck", self.starcheck),
+                ("uncond_hook", uncond_hook),
+                ("starcheck", self.starcheck),
+                ("shortcut", self.shortcut),
+                ("convergence", self.count_nonstars),
+            ),
+            record=record,
+            converged=converged,
+            snapshot=self.snapshot,
+            parents=self.f.to_array,
+            run_start=run_start,
+        )
+
+
 def lacc_spmd(
     g: EdgeList,
     ranks: int = 4,
-    max_iterations: int = 10_000,
+    max_iterations: Optional[int] = None,
     faults=None,
     cost=None,
     initial_parents: Optional[np.ndarray] = None,
@@ -197,6 +319,10 @@ def lacc_spmd(
     ranks:
         Number of simulated SPMD ranks (any positive count — this 1D
         layout has no square-grid restriction).
+    max_iterations:
+        Safety bound; defaults to ``4·⌈log2 n⌉ + 8`` like every driver
+        (:func:`repro.core.skeleton.default_max_iterations`).  Hitting it
+        raises ``RuntimeError``.
     faults:
         Optional :class:`repro.faults.FaultPlan`.  Transient faults are
         healed by the :class:`SimComm` retry-with-validation envelope, so
@@ -218,7 +344,8 @@ def lacc_spmd(
     if ranks < 1:
         raise ValueError("need at least one rank")
     n = g.n
-    comm = make_comm(ranks, faults=faults, cost=cost)
+    st = _SPMDState(n, ranks, initial_parents, faults, cost)
+    f, star = st.f, st.star
     keep = g.u != g.v
     eu = np.r_[g.u[keep], g.v[keep]]  # both directions: (u, v) means u
     ev = np.r_[g.v[keep], g.u[keep]]  # proposes hooks using v's parent
@@ -227,37 +354,6 @@ def lacc_spmd(
     ledges: List[Tuple[np.ndarray, np.ndarray]] = [
         (eu[part == r], ev[part == r]) for r in range(ranks)
     ]
-
-    if initial_parents is not None:
-        f0 = validate_initial_parents(initial_parents, n)
-    else:
-        f0 = np.arange(n, dtype=np.int64)
-    f = _Dist(comm, n, f0)
-    star = _Dist(comm, n, np.ones(n, dtype=np.int64))
-
-    def starcheck() -> None:
-        """Algorithm 6 with message passing."""
-        for r in range(ranks):
-            star.blocks[r][:] = 1
-        # gf via request of parents-of-parents
-        parents = [f.blocks[r] for r in range(ranks)]
-        gf = f.gather(parents)
-        # vertices with f != gf: mark self + grandparent nonstar
-        bad_self: List[np.ndarray] = []
-        bad_gp: List[np.ndarray] = []
-        for r in range(ranks):
-            base = f.lo(r)
-            neq = np.flatnonzero(parents[r] != gf[r])
-            bad_self.append(neq + base)
-            bad_gp.append(gf[r][neq])
-        zeros = [np.zeros(b.size, dtype=np.int64) for b in bad_self]
-        star.scatter_store(bad_self, zeros)
-        zeros = [np.zeros(b.size, dtype=np.int64) for b in bad_gp]
-        star.scatter_store(bad_gp, zeros)
-        # star[v] &= star[f[v]]
-        pstar = star.gather(parents)
-        for r in range(ranks):
-            star.blocks[r] &= pstar[r]
 
     def hook(conditional: bool) -> int:
         """One hooking phase; returns #roots whose parent changed."""
@@ -277,102 +373,20 @@ def lacc_spmd(
             else:
                 # star u hooks onto a nonstar neighbour's parent
                 fire = (svals[r][iu] == 1) & (svals[r][iv] == 0) & (fv != fu)
-            # proposal: f[f[u]] <- f[v], pre-combined locally per root
-            roots, proposal = fu[fire], fv[fire]
-            if roots.size:
-                order = np.lexsort((proposal, roots))
-                roots, proposal = roots[order], proposal[order]
-                first = np.r_[True, roots[1:] != roots[:-1]]
-                targets.append(roots[first])
-                values.append(proposal[first])
-            else:
-                targets.append(roots)
-                values.append(proposal)
+            # proposal: f[f[u]] <- f[v]
+            targets.append(fu[fire])
+            values.append(fv[fire])
         return f.scatter_min(targets, values)
 
-    def shortcut() -> int:
-        parents = [f.blocks[r] for r in range(ranks)]
-        gf = f.gather(parents)
-        changed = 0
-        for r in range(ranks):
-            changed += int(np.count_nonzero(gf[r] != parents[r]))
-            f.blocks[r][:] = gf[r]
-        return changed
-
-    def snapshot(iteration: int) -> IterationSnapshot:
-        plan = faults
-        return IterationSnapshot(
-            iteration=iteration,
-            parents=f.to_array(),
-            star=star.to_array() == 1,
-            active=None,
-            simulated_seconds=(
-                cost.total_seconds if cost is not None else comm.fault_seconds
-            ),
-            plan_cursor=0 if plan is None else plan.cursor,
-        )
-
-    fr = _freg()
-    if fr:
-        fr.record(
-            "run_start", driver="spmd", n=n, ranks=ranks,
-            preset=faults.name if faults is not None else None,
-            seed=faults.seed if faults is not None else None,
-        )
-    iterations = start_iteration
-    if n and eu.size:
-        for k in range(1, max_iterations + 1):
-            iterations = start_iteration + k
-            if fr:
-                fr.set_coords(iteration=iterations)
-            # step spans (cat "step") name the algorithm phase each
-            # collective serves; the proc backend stamps the enclosing
-            # step into worker-side spans/flight events for measured
-            # per-step attribution
-            with _obs().span("iteration", "iteration", iteration=iterations):
-                with _obs().span("starcheck", "step"):
-                    starcheck()
-                with _obs().span("cond_hook", "step"):
-                    hooks = hook(conditional=True)
-                with _obs().span("starcheck", "step"):
-                    starcheck()
-                with _obs().span("uncond_hook", "step"):
-                    hooks += hook(conditional=False)
-                with _obs().span("starcheck", "step"):
-                    starcheck()
-                with _obs().span("shortcut", "step"):
-                    changed = shortcut()
-                with _obs().span("convergence", "step"):
-                    # allreduce the termination predicate
-                    nonstars = comm.allreduce(
-                        [
-                            np.array([int((star.blocks[r] == 0).sum())])
-                            for r in range(ranks)
-                        ],
-                        np.add,
-                    )[0][0]
-            if fr:
-                fr.record("iteration", iteration=iterations, hooks=hooks,
-                          shortcut_changed=changed, nonstars=int(nonstars))
-            if hooks == 0 and changed == 0 and nonstars == 0:
-                break
-            if on_iteration is not None:
-                on_iteration(snapshot(iterations))
-        else:
-            raise RuntimeError("SPMD LACC failed to converge (bug)")
-
-    parents = f.to_array()
-    if fr:
-        fr.record(
-            "run_end",
-            n_iterations=iterations,
-            n_components=int(np.unique(parents).size) if n else 0,
-        )
+    body = st.body("spmd", hook, dict(n=n, ranks=ranks, **plan_fields(faults)))
+    n_iterations, parents, n_components = iterate(
+        body, n, eu.size > 0, max_iterations, start_iteration, on_iteration, _obs()
+    )
     return SPMDResult(
         parents=parents,
-        n_components=int(np.unique(parents).size) if n else 0,
-        n_iterations=iterations,
+        n_components=n_components,
+        n_iterations=n_iterations,
         ranks=ranks,
-        words_sent=f.words + star.words,
-        fault_seconds=comm.fault_seconds,
+        words_sent=st.words,
+        fault_seconds=st.comm.fault_seconds,
     )

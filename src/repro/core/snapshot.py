@@ -74,3 +74,11 @@ def validate_initial_parents(parents, n: int) -> np.ndarray:
             "repro.recovery.StateAuditor.repair() before resuming"
         )
     return f0.copy()
+
+
+def validate_initial_active(active, n: int) -> np.ndarray:
+    """Check and normalise a resume active bitmap (length)."""
+    act0 = np.asarray(active, dtype=bool)
+    if act0.shape != (n,):
+        raise ValueError(f"initial_active must have shape ({n},)")
+    return act0

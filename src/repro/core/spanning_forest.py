@@ -33,6 +33,7 @@ from repro.graphblas.descriptor import Mask
 
 from .convergence import ActiveSet, converged_star_vertices
 from .shortcut import shortcut
+from .skeleton import default_max_iterations
 from .starcheck import starcheck
 
 __all__ = ["spanning_forest", "SpanningForest"]
@@ -145,11 +146,10 @@ def spanning_forest(A: Matrix, use_sparsity: bool = True) -> SpanningForest:
         )
 
     active = ActiveSet(n, enabled=use_sparsity)
-    if use_sparsity:
-        active._active &= ~(A.row_degrees() == 0)
-    max_iterations = 4 * max(int(np.ceil(np.log2(max(n, 2)))), 1) + 8
+    if active.enabled:
+        active.retire(A.row_degrees() == 0)
     star = starcheck(f, active.mask)
-    for _ in range(max_iterations):
+    for _ in range(default_max_iterations(n)):
         h1, eu, ev = _hook_with_witness(A, f, star, n, conditional=True)
         if h1:
             fu.append(eu)
@@ -164,10 +164,8 @@ def spanning_forest(A: Matrix, use_sparsity: bool = True) -> SpanningForest:
             active.retire(converged_star_vertices(A, f, star, active.mask))
         sv, sp_ = star.dense_arrays()
         nonstar = sp_ & ~sv
-        scope = nonstar & active._active if use_sparsity else nonstar
-        shortcut(f, scope)
-        all_stars = not nonstar.any()
-        if active.all_converged() or (h1 + h2 == 0 and all_stars):
+        shortcut(f, nonstar if active.mask is None else nonstar & active.mask)
+        if active.done(h1 + h2, nonstar):
             break
         star = starcheck(f, active.mask)
     else:

@@ -31,6 +31,8 @@ __all__ = [
 
 #: The four steps of every LACC iteration, in execution order.
 STEPS = ("cond_hook", "starcheck", "uncond_hook", "shortcut")
+#: The per-iteration progress counters every driver reports.
+PROGRESS = ("active_vertices", "cond_hooks", "uncond_hooks", "converged_vertices")
 
 
 @dataclass
@@ -52,6 +54,11 @@ class IterationStats:
     @property
     def total_seconds(self) -> float:
         return sum(self.step_seconds.values())
+
+    def progress(self) -> Dict[str, int]:
+        """The algorithm-progress counters, as the drivers report them on
+        ``iteration`` spans and flight events."""
+        return {k: getattr(self, k) for k in PROGRESS}
 
 
 @dataclass

@@ -7,8 +7,35 @@ from hypothesis import strategies as st
 
 from repro.core import lacc
 from repro.core.lacc_2d import lacc_2d
+from repro.core.lacc_dist import lacc_dist
+from repro.core.lacc_spmd import lacc_spmd
+from repro.core.skeleton import default_max_iterations
+from repro.core.stats import STEPS
 from repro.graphs import generators as gen
 from repro.graphs import validate
+from repro.mpisim import EDISON
+from repro.obs import Tracer, activate
+from repro.obs.flight import FlightRecorder, activate_flight
+from repro.obs.metrics import MetricRegistry, activate_metrics
+
+#: every LACC driver as ``(g, tracer, **resume kwargs) -> result``
+DRIVERS = {
+    "serial": lambda g, tr=None, **kw: lacc(g.to_matrix(), tracer=tr, **kw),
+    "dist": lambda g, tr=None, **kw: lacc_dist(
+        g.to_matrix(), EDISON, nodes=1, tracer=tr, **kw
+    ),
+    "spmd": lambda g, tr=None, **kw: lacc_spmd(g, ranks=4, **kw),
+    "2d": lambda g, tr=None, **kw: lacc_2d(g, nprocs=4, **kw),
+}
+
+
+def star_of_stars(k: int, seed: int = 0) -> gen.EdgeList:
+    """A centre joined to *k* hubs, each hub to *k* leaves, ids shuffled."""
+    hubs = np.arange(1, k + 1)
+    leaves = np.arange(k + 1, k + 1 + k * k)
+    u = np.r_[np.zeros(k, np.int64), np.repeat(hubs, k)]
+    v = np.r_[hubs, leaves]
+    return gen.relabel_random(gen.EdgeList(1 + k + k * k, u, v), seed=seed)
 
 
 class TestCorrectness:
@@ -70,6 +97,60 @@ class TestExecutionModelsAgree:
         grid2d = lacc_2d(g, nprocs=4).labels
         for other in (dist, spmd, grid2d):
             np.testing.assert_array_equal(serial, other)
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_driver_conformance(self, driver):
+        """Every driver runs the one iteration skeleton: the same step
+        spans each iteration, the run envelope around one ``iteration``
+        event per iteration, and one metric tick per iteration."""
+        g = gen.component_mixture([20, 12, 6], seed=4)
+        tr, fr, reg = Tracer(), FlightRecorder(), MetricRegistry()
+        with activate(tr), activate_flight(fr), activate_metrics(reg):
+            res = DRIVERS[driver](g, tr)
+        k = res.n_iterations
+        its = tr.find("iteration", "iteration")
+        assert [s.attrs["iteration"] for s in its] == list(range(1, k + 1))
+        names = [[c.name for c in it.children if c.cat == "step"] for it in its]
+        assert all(n == names[0] for n in names)
+        assert set(names[0]) >= set(STEPS)
+        assert all("wall_seconds" in s.counters for s in tr.find(cat="step"))
+        kinds = [
+            e.kind for e in fr.events
+            if e.kind in ("run_start", "iteration", "run_end")
+        ]
+        assert kinds == ["run_start"] + ["iteration"] * k + ["run_end"]
+        assert reg.value("lacc_iterations_total", driver=driver) == float(k)
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_edgeless_graph_records_run_envelope(self, driver):
+        fr = FlightRecorder()
+        with activate_flight(fr):
+            res = DRIVERS[driver](gen.EdgeList(7, [], []))
+        assert res.n_iterations == 0 and res.n_components == 7
+        assert [e.kind for e in fr.events] == ["run_meta", "run_start", "run_end"]
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    @pytest.mark.parametrize(
+        "graph",
+        [gen.relabel_random(gen.path_graph(4096), seed=1), star_of_stars(40)],
+        ids=["long_path", "star_of_stars"],
+    )
+    def test_default_bound_holds_from_start_and_resume(self, driver, graph):
+        """The one default bound, 4*ceil(log2 n)+8, holds for every driver
+        from the identity forest and from a mid-run snapshot."""
+        bound = default_max_iterations(graph.n)
+        truth = validate.ground_truth(graph)
+        snaps = []
+        res = DRIVERS[driver](graph, on_iteration=snaps.append)
+        assert 1 < res.n_iterations <= bound
+        assert validate.same_partition(res.parents, truth)
+        mid = snaps[len(snaps) // 2]
+        resume = dict(initial_parents=mid.parents, start_iteration=mid.iteration)
+        if mid.active is not None:
+            resume["initial_active"] = mid.active
+        res2 = DRIVERS[driver](graph, **resume)
+        assert mid.iteration < res2.n_iterations <= mid.iteration + bound
+        assert validate.same_partition(res2.parents, truth)
 
     def test_iterations_logarithmic(self):
         g = gen.path_graph(256)

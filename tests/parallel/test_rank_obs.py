@@ -323,3 +323,30 @@ class TestEndToEnd:
         assert diag.healthy
         assert diag.n_dropped == 0
         shutdown_pools()
+
+    def test_lacc_2d_collectives_carry_steps(self):
+        """lacc_2d runs the shared iteration skeleton, so each of its
+        collectives on real processes is attributed to an algorithm step
+        rather than "(untagged)"."""
+        import time
+
+        from repro.core.lacc_2d import lacc_2d
+        from repro.graphs import path_graph
+        from repro.obs import Tracer, activate
+        from repro.obs.analytics import analyze_proc
+
+        with enable_rank_obs(), backend.use("proc"), \
+                activate(Tracer(clock=time.monotonic)):
+            res = lacc_2d(path_graph(60), nprocs=4)
+            obs = collect_rank_obs(get_pool(4))
+        assert res.n_components == 1
+        steps = {
+            sp.attrs.get("step")
+            for tr in obs.tracers.values()
+            for sp in tr.find(cat="collective")
+        }
+        assert steps == {"starcheck", "cond_hook", "uncond_hook", "shortcut",
+                         "convergence"}
+        rep = analyze_proc(obs, n_iterations=res.n_iterations)
+        assert "(untagged)" not in {s.step for s in rep.steps}
+        shutdown_pools()

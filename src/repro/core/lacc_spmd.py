@@ -7,9 +7,9 @@ edge list is 1D-partitioned, and every step communicates exclusively
 through :class:`repro.mpisim.SimComm` collectives — no rank ever touches
 another rank's block directly.  Per iteration:
 
-1. **endpoint resolution** — each rank requests ``f``/``star`` values for
-   the remote endpoints of its local edges (alltoallv request → reply),
-   the SPMD analogue of the SpMV gather stage;
+1. **endpoint resolution** — each rank requests ``f``/``star`` values at
+   every endpoint of its local edges, rank-local ones included (alltoallv
+   request → reply), the SPMD analogue of the SpMV gather stage;
 2. **conditional hooking** — local proposal generation
    (``star[u] ∧ f[v] < f[u]``), min-combined locally, routed to the root
    owners with a second alltoallv, min-applied there;
@@ -53,7 +53,7 @@ class SPMDResult(LACCOutput):
     """Output of an SPMD LACC run."""
 
     ranks: int
-    words_sent: int  # total payload words that crossed rank boundaries
+    words_sent: int  # all payload words routed, rank-local (diagonal) ones too
     #: simulated seconds lost to injected faults (backoff/stragglers)
     #: when no cost model was attached to price them properly
     fault_seconds: float = 0.0
@@ -349,24 +349,23 @@ def lacc_spmd(
     keep = g.u != g.v
     eu = np.r_[g.u[keep], g.v[keep]]  # both directions: (u, v) means u
     ev = np.r_[g.v[keep], g.u[keep]]  # proposes hooks using v's parent
-    # 1D cyclic edge partition (balances skewed inputs)
-    part = np.arange(eu.size) % ranks
-    ledges: List[Tuple[np.ndarray, np.ndarray]] = [
-        (eu[part == r], ev[part == r]) for r in range(ranks)
-    ]
+    # 1D cyclic edge partition (balances skewed inputs); each rank's
+    # endpoint request set and its edges' slots in the reply are static
+    req: List[np.ndarray] = []
+    slots: List[Tuple[np.ndarray, np.ndarray]] = []
+    for r in range(ranks):
+        u, v = eu[r::ranks], ev[r::ranks]
+        ends, inv = np.unique(np.r_[u, v], return_inverse=True)
+        req.append(ends)
+        slots.append((inv[: u.size], inv[u.size :]))
 
     def hook(conditional: bool) -> int:
         """One hooking phase; returns #roots whose parent changed."""
         # resolve f and star at the endpoints of local edges
-        req = [np.unique(np.r_[ledges[r][0], ledges[r][1]]) for r in range(ranks)]
         fvals = f.gather(req)
         svals = star.gather(req)
         targets, values = [], []
-        for r in range(ranks):
-            u, v = ledges[r]
-            lut = {int(x): k for k, x in enumerate(req[r])}
-            iu = np.array([lut[int(x)] for x in u], dtype=np.int64)
-            iv = np.array([lut[int(x)] for x in v], dtype=np.int64)
+        for r, (iu, iv) in enumerate(slots):
             fu, fv = fvals[r][iu], fvals[r][iv]
             if conditional:
                 fire = (svals[r][iu] == 1) & (fv < fu)

@@ -394,8 +394,20 @@ class Endpoint:
         raises on a closed transport — liveness monitors poll with this
         during teardown."""
         with self._cv:
-            q = self._pending.get((src, tag))
-            return q.popleft() if q else None
+            return self._pop((src, tag))
+
+    def _pop(self, key: Tuple[int, int]) -> Optional[np.ndarray]:
+        """Oldest queued message of stream *key*, or ``None``.  Caller
+        holds ``_cv``.  An emptied stream's queue is dropped: every
+        collective uses a fresh tag, so kept queues would grow without
+        bound over a long run."""
+        q = self._pending.get(key)
+        if not q:
+            return None
+        arr = q.popleft()
+        if not q:
+            del self._pending[key]
+        return arr
 
     def recv(
         self,
@@ -409,9 +421,9 @@ class Endpoint:
         key = (src, tag)
         with self._cv:
             while True:
-                q = self._pending.get(key)
-                if q:
-                    return q.popleft()
+                arr = self._pop(key)
+                if arr is not None:
+                    return arr
                 if self._failure is not None:
                     raise TransportError(
                         f"drainer of endpoint {self.eid} failed"

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import union_find
 from repro.core import lacc
 from repro.core.lacc_spmd import lacc_spmd
 from repro.graphs import generators as gen
 from repro.graphs import validate
+from repro.obs import Tracer, activate
 
 
 class TestCorrectness:
@@ -90,3 +92,99 @@ class TestDistributionProperties:
         g = gen.path_graph(256)
         r = lacc_spmd(g, ranks=4)
         assert r.n_iterations <= 2 * 8 + 4
+
+
+def _oracle(g):
+    return union_find.connected_components(g.n, g.u, g.v)
+
+
+def _duplicated(seed):
+    """Every edge of a small ER graph repeated 1-12 times, half of the
+    copies reversed, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    base = gen.erdos_renyi(80, 1.2, seed=seed)
+    reps = rng.integers(1, 13, base.nedges)
+    u, v = np.repeat(base.u, reps), np.repeat(base.v, reps)
+    flip = rng.random(u.size) < 0.5
+    u, v = np.where(flip, v, u), np.where(flip, u, v)
+    order = rng.permutation(u.size)
+    return gen.EdgeList(base.n, u[order], v[order])
+
+
+def _self_loops(seed):
+    """Real edges interleaved with self-loops, some on isolated vertices."""
+    rng = np.random.default_rng(seed)
+    base = gen.erdos_renyi(60, 1.0, seed=seed)
+    loops = rng.integers(0, base.n, 2 * base.nedges + 5)
+    u = np.r_[base.u, loops]
+    order = rng.permutation(u.size)
+    return gen.EdgeList(base.n, u[order], np.r_[base.v, loops][order])
+
+
+def _isolated(seed):
+    """A few small components on the low ids, hundreds of isolated vertices
+    after them, so the high-rank blocks hold no edge endpoint at all."""
+    rng = np.random.default_rng(seed)
+    m = 25
+    return gen.EdgeList(400, rng.integers(0, 30, m), rng.integers(0, 30, m))
+
+
+HOSTILE = {"duplicates": _duplicated, "self_loops": _self_loops, "isolated": _isolated}
+
+
+class TestHostileInputs:
+    """Endpoint slots are resolved once per run from each rank's local
+    edge block; these inputs stress that resolution."""
+
+    @pytest.mark.parametrize("ranks", [2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", sorted(HOSTILE))
+    def test_matches_union_find(self, kind, seed, ranks):
+        g = HOSTILE[kind](seed)
+        r = lacc_spmd(g, ranks=ranks)
+        assert validate.same_partition(r.parents, _oracle(g))
+
+    @pytest.mark.parametrize("ranks", [5, 7, 16])
+    def test_more_ranks_than_directed_edges(self, ranks):
+        # 2 edges + a self-loop -> 4 directed edges: ranks 4.. own none
+        g = gen.EdgeList(9, [0, 2, 6], [1, 1, 6])
+        r = lacc_spmd(g, ranks=ranks)
+        assert validate.same_partition(r.parents, _oracle(g))
+        assert r.n_components == 7
+
+    @pytest.mark.parametrize("ranks", [2, 3])
+    @pytest.mark.parametrize("kind", sorted(HOSTILE))
+    def test_resume_from_initial_parents(self, kind, ranks):
+        g = HOSTILE[kind](2)
+        snaps = []
+        full = lacc_spmd(g, ranks=ranks, on_iteration=snaps.append)
+        mid = snaps[len(snaps) // 2]
+        resumed = lacc_spmd(
+            g, ranks=ranks, initial_parents=mid.parents, start_iteration=mid.iteration
+        )
+        assert validate.same_partition(resumed.parents, _oracle(g))
+        np.testing.assert_array_equal(resumed.parents, full.parents)
+        assert resumed.n_iterations == full.n_iterations
+
+
+class TestTrafficGolden:
+    """Traffic of one fixed seeded graph, pinned.  Endpoint resolution is
+    rank-local compute: any change to it that alters the words, the
+    iteration count or the collective sequence would also shift where a
+    seeded fault plan strikes (plans index collectives by call number)."""
+
+    @pytest.mark.parametrize(
+        "ranks,words_sent,alltoallv_words", [(2, 29348, 11772), (3, 30910, 15916)]
+    )
+    def test_traffic_pinned(self, ranks, words_sent, alltoallv_words):
+        g = gen.erdos_renyi(200, 1.5, seed=11)
+        tr = Tracer()
+        with activate(tr):
+            r = lacc_spmd(g, ranks=ranks)
+        alltoallvs = tr.find("alltoallv", "simcomm")
+        assert r.n_components == 60
+        assert r.n_iterations == 6
+        assert r.words_sent == words_sent
+        assert len(alltoallvs) == 228
+        assert len(tr.find("allreduce", "simcomm")) == 6
+        assert sum(s.counters["words"] for s in alltoallvs) == alltoallv_words

@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.lacc_2d import lacc_2d
 from repro.core.lacc_spmd import lacc_spmd
+from repro.graphs.generators import EdgeList
 from repro.graphs.validate import same_partition
 from repro.mpisim import backend
 
@@ -86,3 +87,17 @@ def test_sim_and_proc_parent_vectors_byte_identical(graphs, family, seed, impl, 
     )
     assert sim_res.n_components == proc_res.n_components
     assert sim_res.n_iterations == proc_res.n_iterations
+
+
+def test_hostile_sparse_input_sim_and_proc_byte_identical():
+    """Duplicate edges, self-loops and isolated vertices, spread over more
+    ranks than there are directed edges: ranks 4 and 5 own no local edge
+    and request no endpoint."""
+    g = EdgeList(12, [0, 1, 1, 5, 7], [1, 0, 1, 5, 7])
+    sim_res = lacc_spmd(g, ranks=6)
+    with backend.use("proc"):
+        proc_res = lacc_spmd(g, ranks=6)
+    assert same_partition(sim_res.parents, oracle_labels(g))
+    assert sim_res.parents.tobytes() == proc_res.parents.tobytes()
+    assert sim_res.n_iterations == proc_res.n_iterations
+    assert sim_res.words_sent == proc_res.words_sent

@@ -150,6 +150,18 @@ def test_streams_are_independent_per_tag(fabric):
     assert got2 == [1000 + k for k in range(50)]
 
 
+def test_drained_streams_hold_no_queue(fabric):
+    """Collectives tag each message with a fresh sequence number, so a
+    queue kept per drained (src, tag) stream would grow with every call."""
+    t, (a, b, _) = fabric
+    for tag in range(300):
+        a.send(1, tag, np.array([tag], dtype=np.int64))
+    got = [int(b.recv(0, tag, timeout=10)[0]) for tag in range(300)]
+    assert got == list(range(300))
+    assert b.try_recv(0, 0) is None
+    assert not b._pending
+
+
 # ----------------------------------------------------------------------
 # randomized concurrent schedules (seeded fuzz)
 # ----------------------------------------------------------------------

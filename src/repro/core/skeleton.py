@@ -43,6 +43,7 @@ __all__ = [
     "IterationBody",
     "LACCOutput",
     "iterate",
+    "count_components",
     "default_max_iterations",
     "plan_fields",
 ]
@@ -55,6 +56,12 @@ def default_max_iterations(n: int) -> int:
     """The iteration bound ``4·⌈log2 n⌉ + 8``.  Awerbuch–Shiloach converges
     in ``O(log n)`` iterations, so exceeding it indicates a bug."""
     return 4 * max(int(np.ceil(np.log2(max(n, 2)))), 1) + 8
+
+
+def count_components(parents: np.ndarray) -> int:
+    """Number of distinct roots in a parent vector, without the hash
+    table a flag-less ``np.unique`` builds on NumPy 2.x."""
+    return int(np.count_nonzero(np.bincount(parents)))
 
 
 def plan_fields(faults) -> Dict[str, Any]:
@@ -175,7 +182,7 @@ def iterate(
                 on_iteration(body.snapshot(iteration))
 
     parents = body.parents()
-    n_components = int(np.unique(parents).size)
+    n_components = count_components(parents)
     if fr:
         fr.record("run_end", n_iterations=iteration, n_components=n_components,
                   **body.run_end())

@@ -33,7 +33,7 @@ from repro.graphblas.descriptor import Mask
 
 from .convergence import ActiveSet, converged_star_vertices
 from .shortcut import shortcut
-from .skeleton import default_max_iterations
+from .skeleton import count_components, default_max_iterations
 from .starcheck import starcheck
 
 __all__ = ["spanning_forest", "SpanningForest"]
@@ -54,7 +54,7 @@ class SpanningForest:
 
     @property
     def n_components(self) -> int:
-        return int(np.unique(self.parents).size) if self.n else 0
+        return count_components(self.parents)
 
     def is_spanning(self) -> bool:
         """Exactly n - #components edges and same component structure."""

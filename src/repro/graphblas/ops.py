@@ -19,8 +19,10 @@ Cost-proportionality is the organising principle (the paper's §IV-B:
 "vectors start out dense and get sparse rapidly"):
 
 * the masked write dispatches between a **dense** formulation (full
-  ``values``/``present`` arrays, Θ(n)) and a **sparse** sorted-merge over
-  stored entries only (O(nvals));
+  ``values``/``present`` arrays, Θ(n)), a **sparse** sorted-merge over
+  stored entries only (O(nvals), and O(|Z|) when nothing of the output
+  survives), and an in-place store of an indexed ``assign`` into a dense
+  output (O(|indices| + |Z|));
 * ``GrB_mxv`` dispatches between a row-streaming SpMV kernel (dense-ish
   input vector), a mask-restricted row-subset SpMV (work ∝ degrees of the
   allowed rows — the paper's masked SpMV over unconverged vertices), and a
@@ -50,7 +52,7 @@ from .matrix import Matrix
 from .monoid import Monoid
 from .semiring import Semiring
 from .types import promote
-from .vector import Vector
+from .vector import Vector, _sorted_unique, _strictly_increasing
 
 __all__ = [
     "mxv",
@@ -85,9 +87,11 @@ MASKED_SPMV_ROW_FRACTION = 0.5
 # sparse and (stored + incoming) entries stay below this fraction of n.
 SPARSE_WRITE_MAX_FRACTION = 0.25
 
-# Test hooks: force the masked-write path ("dense" | "sparse" | None) and
-# toggle the mask pushdown into the mxv kernels.  The forced dense path is
-# the pre-sparsification oracle the equivalence suite compares against.
+# Test hooks: force the masked-write path ("dense" | "sparse"; None is the
+# automatic dispatch, the only one that takes the in-place region path)
+# and toggle the mask pushdown into the mxv kernels.  The forced dense
+# path is the pre-sparsification oracle the equivalence suite compares
+# against.
 _FORCE_WRITE_PATH: Optional[str] = None
 MASK_PUSHDOWN = True
 
@@ -187,12 +191,19 @@ def _masked_write(
 ) -> Vector:
     """Apply the standard GraphBLAS mask/accumulate/replace write to *w*.
 
-    *region* (``GrB_assign``'s index list, sorted unique) limits the write:
-    outside it *w* keeps its entries regardless of the mask (ignored under
+    *t_idx* is sorted unique.  *region* (``GrB_assign``'s index list,
+    sorted unique, containing *t_idx*) limits the write: outside it *w*
+    keeps its entries regardless of the mask (ignored under
     ``GrB_REPLACE``, matching assign's replace semantics).  *allow* is an
     optional precomputed dense allow bitmap (``mxv`` shares the one its
-    kernels used).  Dispatches to a sorted-merge over stored entries when
-    the output is sparse (O(nvals)) and to the dense formulation otherwise.
+    kernels used).
+
+    Without an accumulator, a write that no entry of *w* survives (empty
+    *w*, ``GrB_REPLACE``, or unmasked with no region) takes the sorted
+    merge whatever *w*'s storage, and a region write into a dense *w*
+    stores in place — both O(|Z| + |region|).  Every other write is a
+    sorted-merge over stored entries when the output is sparse
+    (O(nvals)) and the dense formulation (Θ(n)) otherwise.
     """
     m = mask_obj if mask_obj is not None else desc.wrap(mask)
     if _FORCE_WRITE_PATH == "sparse":
@@ -200,14 +211,26 @@ def _masked_write(
     elif _FORCE_WRITE_PATH == "dense":
         use_sparse = False
     else:
-        use_sparse = (
-            w.mode == "sparse"
-            and w.size > 0
-            and (w.nvals + t_idx.size) < SPARSE_WRITE_MAX_FRACTION * w.size
-        )
+        if accum is None and _overwrites(w, m, desc, region):
+            use_sparse = True
+        elif accum is None and region is not None and w.mode == "dense":
+            return _masked_write_region(w, t_idx, t_vals, m, region)
+        else:
+            use_sparse = (
+                w.mode == "sparse"
+                and (w.nvals + t_idx.size) < SPARSE_WRITE_MAX_FRACTION * w.size
+            )
     if use_sparse:
         return _masked_write_sparse(w, t_idx, t_vals, m, accum, desc, region, allow)
     return _masked_write_dense(w, t_idx, t_vals, m, accum, desc, region, allow)
+
+
+def _overwrites(w: Vector, m: Mask, desc: Descriptor,
+                region: Optional[np.ndarray]) -> bool:
+    """True when no entry of *w* can survive the write, so W = Z ∩ allow:
+    ``GrB_REPLACE``, an empty *w*, or an unmasked write with no region."""
+    unmasked = m.vector is None and not m.complement
+    return desc.replace or w.nvals == 0 or (unmasked and region is None)
 
 
 def _masked_write_sparse(
@@ -245,8 +268,9 @@ def _masked_write_sparse(
         keep_z &= _in_sorted(region, z_idx)
     zi, zv = z_idx[keep_z], z_vals[keep_z]
 
-    if desc.replace:
-        # W = Z ∩ allow: everything outside the mask is deleted too
+    if _overwrites(w, m, desc, region):
+        # W = Z ∩ allow: nothing of W survives (with GrB_REPLACE, not
+        # even outside the mask), so W's entries are never read
         w._set_sparse(zi, zv)
         return w
 
@@ -258,6 +282,35 @@ def _masked_write_sparse(
     ki, kv = wi[keep_w], wv[keep_w]
     out_i, out_v = _merge_disjoint(ki, kv, zi, zv, w.dtype)
     w._set_sparse(out_i, out_v)
+    return w
+
+
+def _masked_write_region(
+    w: Vector,
+    t_idx: np.ndarray,
+    t_vals: np.ndarray,
+    m: Mask,
+    region: np.ndarray,
+) -> Vector:
+    """``w⟨mask⟩[region] = Z`` stored in place into a dense *w* —
+    O(|region| + |Z|), no Θ(n) copy or bitmap.
+
+    Inside the allowed part of *region*, *w* becomes exactly Z: clear,
+    then store Z's allowed entries.  Both mask evaluations run before the
+    first store, so a mask reading *w* itself sees its old contents.
+    """
+    cleared = region[m.allow_at(region, w.size)]
+    keep = m.allow_at(t_idx, w.size)
+    zi = t_idx[keep]
+    zv = np.asarray(t_vals)[keep].astype(w.dtype, copy=False)
+    present = w._present
+    # Z's allowed entries lie inside the cleared positions
+    nvals = w.nvals - int(np.count_nonzero(present[cleared])) + zi.size
+    present[cleared] = False
+    w._values[zi] = zv
+    present[zi] = True
+    w._nvals = nvals
+    w._maybe_sparsify()
     return w
 
 
@@ -653,16 +706,16 @@ def assign(
                     f"u.size {u.size} != number of assign indices {idx.size}"
                 )
             ui, uv = u.sparse_arrays()
-            if ui.size == 0:
-                t_idx, t_vals = ui, uv
+            targets = idx[ui]
+            if _strictly_increasing(targets):
+                t_idx, t_vals = targets, uv
             else:
-                targets = idx[ui]
                 order = np.argsort(targets, kind="stable")
                 t_sorted = targets[order]
                 v_sorted = uv[order]
                 last = np.r_[t_sorted[1:] != t_sorted[:-1], True]
                 t_idx, t_vals = t_sorted[last], v_sorted[last]
-            region = np.unique(idx)
+            region = _sorted_unique(idx)
         if span:
             span.add("nvals_in", int(ui.size))
             span.add("nvals_out", int(t_idx.size))
@@ -690,8 +743,7 @@ def assign_scalar(
             idx = np.arange(w.size, dtype=np.int64)
             region = None  # GrB_ALL: the region does not restrict anything
         else:
-            idx = np.unique(idx)
-            region = idx
+            idx = region = _sorted_unique(idx)
         t_vals = np.full(idx.size, value, dtype=w.dtype)
         if span:
             span.add("nvals_in", int(idx.size))

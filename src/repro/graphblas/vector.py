@@ -96,10 +96,13 @@ class Vector:
         if idx.size and (idx.min() < 0 or idx.max() >= size):
             raise IndexError(f"index out of range for vector of size {size}")
         v = cls(size, vals.dtype)
-        if idx.size:
+        if _strictly_increasing(idx):
+            # the vector owns its storage, as it does after a sort
+            idx, vals = idx.copy(), vals.copy()
+        else:
             order = np.argsort(idx, kind="stable")
             idx, vals = idx[order], vals[order]
-            if idx.size > 1 and np.any(idx[1:] == idx[:-1]):
+            if np.any(idx[1:] == idx[:-1]):
                 idx, vals = _dedup(idx, vals, dedup)
         v._indices, v._values = idx, np.ascontiguousarray(vals)
         v._maybe_densify()
@@ -174,7 +177,16 @@ class Vector:
 
     def dense_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(values, present)`` full arrays.  Values at absent positions are
-        unspecified — always consult *present*.  Treat as read-only."""
+        unspecified — always consult *present*.  Treat as read-only.
+
+        In dense mode these are the vector's live storage, and an indexed
+        ``assign``/``assign_scalar`` into the vector writes them in place:
+        a view held across such a write sees the new contents.  Every
+        caller in the package either derives a fresh array at once
+        (``sv & sp_``, fancy indexing) or reads a vector that is not
+        written while the view lives; the masked write itself evaluates
+        the mask before its first store, so a mask or index list taken
+        from the output reads the old contents."""
         if self._mode == "dense":
             return self._values, self._present
         vals = np.zeros(self.size, dtype=self.dtype)
@@ -358,11 +370,34 @@ class Vector:
         )
 
 
+def _strictly_increasing(idx: np.ndarray) -> bool:
+    """True when *idx* is already sorted and duplicate-free — O(k), so a
+    caller can skip its sort.  Index lists taken from ``flatnonzero`` pass;
+    value-derived ones (starcheck's grandparents, the hooks' targets) fail
+    and pay the check on top of the sort (``docs/PERFORMANCE.md`` gives
+    the shares)."""
+    return idx.size < 2 or bool(np.all(idx[1:] > idx[:-1]))
+
+
+def _sorted_unique(idx: np.ndarray) -> np.ndarray:
+    """``np.unique(idx)`` without the hash table.
+
+    Returns *idx* itself when it is already strictly increasing, else a
+    fresh sorted copy with adjacent duplicates dropped.  Flag-less
+    ``np.unique`` hashes on NumPy 2.x, 20–30× slower than ``np.sort``.
+    """
+    if _strictly_increasing(idx):
+        return idx
+    s = np.sort(idx)
+    return s[np.r_[True, s[1:] != s[:-1]]]
+
+
 def _dedup(idx: np.ndarray, vals: np.ndarray, how: str):
     """Collapse duplicate (sorted) indices according to *how*."""
     if how == "error":
         raise ValueError("duplicate indices in build")
-    uniq, start = np.unique(idx, return_index=True)
+    start = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
+    uniq = idx[start]
     if how == "last":
         # For each unique index, take the last occurrence in the stable order.
         end = np.r_[start[1:], idx.size] - 1
